@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable, prov_col
-from repro.core.join_graph import PT_NODE, JoinGraph
+from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 
 
 @dataclass
@@ -85,6 +86,20 @@ def _side_col(
     return f"{prefixes[nid]}_{attr}"
 
 
+def _edge_cond(e: JGEdge, prefixes: dict[int, str]) -> Column:
+    """An edge's equi-join pairs and constant constraints as one condition."""
+
+    def col(side: str, attr: str) -> Column:
+        nid, rel = (e.n1, e.rel1) if side == "l" else (e.n2, e.rel2)
+        return F.col(_side_col(nid, rel, attr, prefixes))
+
+    conds = [col("l", la) == col("r", ra) for la, ra in e.cond.pairs]
+    conds += [col(side, attr) == F.lit(v) for side, attr, v in e.cond.consts]
+    if not conds:
+        raise ValueError("edge with empty join condition")
+    return reduce(lambda x, y: x & y, conds)
+
+
 def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
     """Build ``APT(Q, D, Ω)`` as a DataFrame (lazy; caller decides caching)."""
     prefixes = _node_prefixes(jg)
@@ -97,14 +112,12 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
     stall = 0
     while edges:
         e = edges.popleft()
-        new_side = None
-        if e.n1 not in joined and e.n2 in joined:
-            new_side = "l"
-        elif e.n2 not in joined and e.n1 in joined:
-            new_side = "r"
-        elif e.n1 in joined and e.n2 in joined:
+        if e.n1 in joined and e.n2 in joined:
+            # A cycle / parallel edge: both ends are already in the plan.
             stall = 0
-        else:
+            df = df.filter(_edge_cond(e, prefixes))
+            continue
+        if e.n1 not in joined and e.n2 not in joined:
             # Neither endpoint reached yet: requeue (the enumeration only
             # emits connected graphs, so progress is guaranteed).
             edges.append(e)
@@ -113,48 +126,23 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
                 raise ValueError(f"join graph is not connected to PT: {jg}")
             continue
         stall = 0
-        if new_side is not None:
-            new_nid = e.n1 if new_side == "l" else e.n2
-            rel = jg.node_labels[new_nid]
-            assert rel is not None
-            pfx = prefixes[new_nid]
-            right = db.df(rel)
-            right = right.select(
-                *[F.col(a).alias(f"{pfx}_{a}") for a in right.columns]
-            )
-            context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
-            col_attr.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
-            cond = None
-            for la, ra in e.cond.pairs:
-                lcol = _side_col(e.n1, e.rel1, la, prefixes)
-                rcol = _side_col(e.n2, e.rel2, ra, prefixes)
-                c = F.col(lcol) == F.col(rcol)
-                cond = c if cond is None else (cond & c)
-                # The new node's join keys equal the other side — drop them.
-                dropped.append(lcol if new_side == "l" else rcol)
-            for side, attr, value in e.cond.consts:
-                nid = e.n1 if side == "l" else e.n2
-                rel_ = e.rel1 if side == "l" else e.rel2
-                c = F.col(_side_col(nid, rel_, attr, prefixes)) == F.lit(value)
-                cond = c if cond is None else (cond & c)
-            if cond is None:
-                raise ValueError("edge with empty join condition")
-            df = df.join(right, on=cond, how="inner")
-            joined.add(new_nid)
-        else:
-            cond = None
-            for la, ra in e.cond.pairs:
-                lcol = _side_col(e.n1, e.rel1, la, prefixes)
-                rcol = _side_col(e.n2, e.rel2, ra, prefixes)
-                c = F.col(lcol) == F.col(rcol)
-                cond = c if cond is None else (cond & c)
-            for side, attr, value in e.cond.consts:
-                nid = e.n1 if side == "l" else e.n2
-                rel_ = e.rel1 if side == "l" else e.rel2
-                c = F.col(_side_col(nid, rel_, attr, prefixes)) == F.lit(value)
-                cond = c if cond is None else (cond & c)
-            assert cond is not None
-            df = df.filter(cond)
+        new_is_n1 = e.n1 not in joined
+        new_nid = e.n1 if new_is_n1 else e.n2
+        rel = jg.node_labels[new_nid]
+        assert rel is not None
+        pfx = prefixes[new_nid]
+        right = db.df(rel)
+        right = right.select(
+            *[F.col(a).alias(f"{pfx}_{a}") for a in right.columns]
+        )
+        context_cols.extend(f"{pfx}_{a}" for a in db.attrs(rel))
+        col_attr.update({f"{pfx}_{a}": a for a in db.attrs(rel)})
+        # The new node's join keys equal the other side — drop them.
+        dropped.extend(
+            f"{pfx}_{la if new_is_n1 else ra}" for la, ra in e.cond.pairs
+        )
+        df = df.join(right, on=_edge_cond(e, prefixes), how="inner")
+        joined.add(new_nid)
     keep_context = [c for c in dict.fromkeys(context_cols) if c not in set(dropped)]
     df = df.drop(*[c for c in set(dropped) if c in df.columns])
     return APT(

@@ -2,9 +2,10 @@
 
 ``explain`` is the system entry point for a user question: it computes the
 provenance table, enumerates join graphs up to λ_#edges (Algorithm 2),
-filters them with ``isValid`` (PK-connectivity + estimated APT cost), runs
-MineAPT per surviving graph, and returns the union of per-graph top-k
-patterns ranked by F-score (the paper's global ranking, §2.5/§4).
+filters them with ``isValid`` (PK-connectivity + estimated APT cost), sizes
+the question's F-score sample once, runs MineAPT per surviving graph, and
+returns the union of per-graph top-k patterns ranked by F-score (the
+paper's global ranking, §2.5/§4).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from repro.core.join_graph import (
     enumerate_join_graphs,
     is_valid,
 )
+from repro.core.metrics import f1_sample
 from repro.core.mine import Explanation, MineResult, StepTimer, mine_apt
 from repro.core.schema_graph import SchemaGraph
 
@@ -62,10 +64,14 @@ def explain(
             if is_valid(jg, db, pt.n_rows, params.q_cost)
         ]
 
+    # The F-score sample and its side sizes depend only on the question.
+    with timer.step("Sampling for F1"):
+        sample = f1_sample(pt, t1, t2, params.f1_samp, params.seed)
+
     mined: dict[int, MineResult] = {}
     all_expl: list[Explanation] = []
     for i, jg in valid:
-        res = mine_apt(db, pt, jg, t1, t2, params)
+        res = mine_apt(db, pt, jg, t1, t2, params, sample)
         mined[i] = res
         all_expl.extend(res.explanations)
         timer.merge(res.timer)

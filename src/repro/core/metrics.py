@@ -9,7 +9,9 @@ per-side ``sum``. All patterns of a batch are evaluated in **one** Spark job
 
 F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
-the same sample is drawn across batches.
+the same sample is drawn across batches. ``sided`` is the one definition of
+a row's question side and sample membership; ``f1_sample`` sizes the sample
+(the recall denominators) once per question.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
 to validate the distributed path.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -27,6 +30,7 @@ from repro.core.apt import APT
 from repro.core.pattern import Pattern
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
+SIDE = "__side"  # question side of a row: 1 (t1) or 2 (t2)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,30 @@ def _sample_pred(rate: float | None, seed: int) -> Column | None:
     )
 
 
+def sided(
+    df: DataFrame,
+    group_cols: tuple[str, ...],
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    f1_samp: float | None = None,
+    seed: int = 0,
+) -> DataFrame:
+    """The rows of ``df`` (PT or an APT) on a side of the question, with the
+    side (1 or 2) in ``__side``, restricted to the PT tuples of the F-score
+    sample. For single-point questions (t2 is None) side 2 is PT \\ PT(t1):
+    every row not on side 1, including rows whose group value is NULL, as
+    in :func:`brute_force_support`."""
+    pred = _sample_pred(f1_samp, seed)
+    if pred is not None:
+        df = df.filter(pred)
+    side = F.when(_group_cond(group_cols, t1), 1)
+    if t2 is not None:
+        side = side.when(_group_cond(group_cols, t2), 2)
+    else:
+        side = side.otherwise(2)
+    return df.withColumn(SIDE, side).filter(F.col(SIDE).isNotNull())
+
+
 def pt_sizes(
     pt: ProvenanceTable,
     t1: dict[str, object],
@@ -94,49 +122,60 @@ def pt_sizes(
     f1_samp: float | None = None,
     seed: int = 0,
 ) -> tuple[int, int]:
-    """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample. For
-    single-point questions (t2 is None) the second side is PT \\ PT(t1)."""
-    df = pt.df
-    pred = _sample_pred(f1_samp, seed)
-    if pred is not None:
-        df = df.filter(pred)
-    c1 = _group_cond(pt.group_cols, t1)
-    agg = df.select(
-        F.sum(F.when(c1, 1).otherwise(0)).alias("n1"),
-        (
-            F.sum(F.when(_group_cond(pt.group_cols, t2), 1).otherwise(0))
-            if t2 is not None
-            else F.sum(F.when(~c1, 1).otherwise(0))
-        ).alias("n2"),
-    ).collect()[0]
+    """(|PT(Q,D,t1)|, |PT(Q,D,t2)|) under the F-score sample."""
+    agg = (
+        sided(pt.df, pt.group_cols, t1, t2, f1_samp, seed)
+        .select(
+            *[
+                F.sum(F.when(F.col(SIDE) == s, 1).otherwise(0)).alias(f"n{s}")
+                for s in (1, 2)
+            ]
+        )
+        .collect()[0]
+    )
     return int(agg["n1"] or 0), int(agg["n2"] or 0)
+
+
+@dataclass(frozen=True)
+class F1Sample:
+    """The PT tuples a question is scored on and the recall denominators
+    (n1, n2) of Def. 7. Both depend only on the question, so ``explain``
+    sizes the sample once and every join graph shares it."""
+
+    rate: float  # λ_F1-samp actually used; 1.0 scores on all of PT
+    seed: int
+    n1: int
+    n2: int
+
+
+def f1_sample(
+    pt: ProvenanceTable,
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    rate: float = 1.0,
+    seed: int = 0,
+) -> F1Sample:
+    """Size the λ_F1-samp sample of PT tuples. A sample that misses a side
+    entirely would zero a recall denominator, so it falls back to exact
+    counts over all of PT."""
+    if rate < 1.0:
+        n1, n2 = pt_sizes(pt, t1, t2, rate, seed)
+        if n1 and n2:
+            return F1Sample(rate, seed, n1, n2)
+    return F1Sample(1.0, seed, *pt_sizes(pt, t1, t2))
 
 
 def compute_support(
     apt: APT,
-    pt: ProvenanceTable,
+    sample: F1Sample,
     patterns: list[Pattern],
     t1: dict[str, object],
     t2: dict[str, object] | None,
-    f1_samp: float | None = None,
-    seed: int = 0,
 ) -> list[Support]:
     """Evaluate the supports of many patterns in few Spark jobs."""
     if not patterns:
         return []
-    n1, n2 = pt_sizes(pt, t1, t2, f1_samp, seed)
-    df = apt.df
-    pred = _sample_pred(f1_samp, seed)
-    if pred is not None:
-        df = df.filter(pred)
-    c1 = _group_cond(apt.group_cols, t1)
-    side = F.when(c1, 1)
-    if t2 is not None:
-        side = side.when(_group_cond(apt.group_cols, t2), 2)
-    else:
-        side = side.otherwise(2)
-    df = df.withColumn("__side", side).filter(F.col("__side").isNotNull())
-
+    df = sided(apt.df, apt.group_cols, t1, t2, sample.rate, sample.seed)
     out: list[Support] = []
     for lo in range(0, len(patterns), _BATCH):
         chunk = patterns[lo : lo + _BATCH]
@@ -145,20 +184,20 @@ def compute_support(
             for i, p in enumerate(chunk)
         ]
         stage1 = (
-            df.select(PT_ID, "__side", *cols)
-            .groupBy(PT_ID, "__side")
+            df.select(PT_ID, SIDE, *cols)
+            .groupBy(PT_ID, SIDE)
             .agg(*[F.max(f"__m{i}").alias(f"__c{i}") for i in range(len(chunk))])
         )
         rows = (
-            stage1.groupBy("__side")
+            stage1.groupBy(SIDE)
             .agg(*[F.sum(f"__c{i}").alias(f"__c{i}") for i in range(len(chunk))])
             .collect()
         )
-        cov = {int(r["__side"]): r for r in rows}
+        cov = {int(r[SIDE]): r for r in rows}
         for i in range(len(chunk)):
             c1v = int(cov[1][f"__c{i}"]) if 1 in cov else 0
             c2v = int(cov[2][f"__c{i}"]) if 2 in cov else 0
-            out.append(Support(cov1=c1v, n1=n1, cov2=c2v, n2=n2))
+            out.append(Support(cov1=c1v, n1=sample.n1, cov2=c2v, n2=sample.n2))
     return out
 
 
@@ -171,54 +210,36 @@ class SupportEvaluator:
     This mirrors the paper's design — λ_F1-samp exists precisely to make
     F-score calculation operate on a bounded sample — while keeping the
     data-heavy steps (PT, APT joins, sampling) in Spark. For APTs whose
-    sampled projection exceeds ``max_rows``, callers should fall back to
+    sampled projection would not fit the driver, callers use
     :func:`compute_support` (the fully distributed path).
     """
 
     def __init__(
         self,
         apt: APT,
-        pt: ProvenanceTable,
+        sample: F1Sample,
         attrs: list[str],
         t1: dict[str, object],
         t2: dict[str, object] | None,
-        f1_samp: float | None = None,
-        seed: int = 0,
     ) -> None:
-        self.n1, self.n2 = pt_sizes(pt, t1, t2, f1_samp, seed)
-        df = apt.df
-        pred = _sample_pred(f1_samp, seed)
-        if pred is not None:
-            df = df.filter(pred)
-        c1 = _group_cond(apt.group_cols, t1)
-        side = F.when(c1, 1)
-        if t2 is not None:
-            side = side.when(_group_cond(apt.group_cols, t2), 2)
-        else:
-            side = side.otherwise(2)
+        self.sample = sample
         cols = [c for c in dict.fromkeys(attrs) if c in apt.df.columns]
-        pdf = (
-            df.withColumn("__side", side)
-            .filter(F.col("__side").isNotNull())
-            .select(PT_ID, "__side", *cols)
+        self.pdf = (
+            sided(apt.df, apt.group_cols, t1, t2, sample.rate, sample.seed)
+            .select(PT_ID, SIDE, *cols)
             .toPandas()
         )
-        self.pdf = pdf
-        import numpy as np
-
-        codes, uniques = pd.factorize(pdf[PT_ID])
+        codes, uniques = pd.factorize(self.pdf[PT_ID])
         self._codes = codes
         self._n_ptids = len(uniques)
-        self._side1 = (pdf["__side"] == 1).to_numpy()
-        self._side2 = (pdf["__side"] == 2).to_numpy()
-        self._np = np
+        self._side1 = (self.pdf[SIDE] == 1).to_numpy()
+        self._side2 = (self.pdf[SIDE] == 2).to_numpy()
 
     @property
     def n_rows(self) -> int:
         return len(self.pdf)
 
     def support(self, pattern: Pattern) -> Support:
-        np = self._np
         mask = pattern.pandas_mask(self.pdf)
         cov = np.zeros(self._n_ptids, dtype=bool)
         cov[self._codes[mask & self._side1]] = True
@@ -226,7 +247,9 @@ class SupportEvaluator:
         cov[:] = False
         cov[self._codes[mask & self._side2]] = True
         cov2 = int(cov.sum())
-        return Support(cov1=cov1, n1=self.n1, cov2=cov2, n2=self.n2)
+        return Support(
+            cov1=cov1, n1=self.sample.n1, cov2=cov2, n2=self.sample.n2
+        )
 
     def supports(self, patterns: list[Pattern]) -> list[Support]:
         return [self.support(p) for p in patterns]

@@ -6,8 +6,10 @@ tables use (Fig. 7/7a/9c/9d):
   Materialize APTs   — build + cache + count the APT for Ω.
   Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
-  Sampling for F1    — set up the deterministic PT-tuple sample and its
-                       per-side sizes (denominators of recall).
+  Sampling for F1    — collect the F-score sample of the APT for driver-side
+                       scoring (the sample itself and its per-side sizes,
+                       the recall denominators, are fixed once per
+                       question by ``explain``).
   F-score Calc.      — batched Spark evaluation of pattern supports.
   Refine Patterns    — numeric-predicate refinement rounds (Prop. 3.1
                        recall pruning; refinement evaluation cost is billed
@@ -20,9 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable
@@ -31,7 +31,14 @@ from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
 from repro.core.join_graph import JoinGraph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import Support, compute_support
+from repro.core.metrics import (
+    SIDE,
+    F1Sample,
+    Support,
+    SupportEvaluator,
+    compute_support,
+    sided,
+)
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
 from repro.core.topk import diverse_topk
@@ -111,22 +118,8 @@ class MineResult:
 
 def _sided_sample(apt: APT, t1, t2, rate: float, cap: int, seed: int):
     """Pandas mining sample restricted to the two sides + its binary label."""
-    from pyspark.sql import functions as F
-
-    df = apt.df
-    cond1 = F.lit(True)
-    for k in apt.group_cols:
-        cond1 = cond1 & (F.col(k) == F.lit(t1[k]))
-    if t2 is not None:
-        cond2 = F.lit(True)
-        for k in apt.group_cols:
-            cond2 = cond2 & (F.col(k) == F.lit(t2[k]))
-    else:
-        cond2 = ~cond1
-    df = df.withColumn(
-        "__side", F.when(cond1, 1).when(cond2, 2)
-    ).filter(F.col("__side").isNotNull())
-    full = df
+    full = sided(apt.df, apt.group_cols, t1, t2)
+    df = full
     if rate < 1.0:
         df = df.sample(fraction=min(1.0, rate * 1.3), seed=seed)
     pdf = df.limit(cap).toPandas()
@@ -134,8 +127,8 @@ def _sided_sample(apt: APT, t1, t2, rate: float, cap: int, seed: int):
         # Tiny APT: the rate sample is too small to mine from — fall back
         # to the first ``cap`` rows (still bounded).
         pdf = full.limit(cap).toPandas()
-    label = (pdf["__side"] == 1).to_numpy(dtype=int)
-    return pdf.drop(columns=["__side"]), label
+    label = (pdf[SIDE] == 1).to_numpy(dtype=int)
+    return pdf.drop(columns=[SIDE]), label
 
 
 def mine_apt(
@@ -145,7 +138,10 @@ def mine_apt(
     t1: dict[str, object],
     t2: dict[str, object] | None,
     params: CajadeParams,
+    sample: F1Sample,
 ) -> MineResult:
+    """Mine one join graph. ``sample`` is the question's F-score sample
+    (:func:`repro.core.metrics.f1_sample`), shared by all join graphs."""
     timer = StepTimer()
 
     with timer.step("Materialize APTs"):
@@ -182,33 +178,16 @@ def mine_apt(
     with timer.step("Gen. Pat. Cand."):
         cands = lca_candidates(sample_pdf, fr.cat_attrs, max_patterns=200)
 
-    from repro.core.metrics import SupportEvaluator, pt_sizes
-
     pattern_attrs = list(dict.fromkeys(fr.num_attrs + fr.cat_attrs))
     evaluator: SupportEvaluator | None = None
     with timer.step("Sampling for F1"):
-        f1_samp = params.f1_samp if params.f1_samp < 1.0 else None
-        est_rows = apt_rows * (f1_samp or 1.0)
-        if est_rows <= _MAX_DRIVER_ROWS:
-            evaluator = SupportEvaluator(
-                apt, pt, pattern_attrs, t1, t2, f1_samp, params.seed
-            )
-            n1, n2 = evaluator.n1, evaluator.n2
-        else:
-            n1, n2 = pt_sizes(pt, t1, t2, f1_samp, params.seed)
-    if (n1 == 0 or n2 == 0) and f1_samp is not None:
-        # The F-score sample missed one side entirely; fall back to exact.
-        f1_samp = None
-        with timer.step("Sampling for F1"):
-            if evaluator is not None:
-                evaluator = SupportEvaluator(
-                    apt, pt, pattern_attrs, t1, t2, None, params.seed
-                )
+        if apt_rows * sample.rate <= _MAX_DRIVER_ROWS:
+            evaluator = SupportEvaluator(apt, sample, pattern_attrs, t1, t2)
 
     def score(pats: list[Pattern]) -> list[Support]:
         if evaluator is not None:
             return evaluator.supports(pats)
-        return compute_support(apt, pt, pats, t1, t2, f1_samp, params.seed)
+        return compute_support(apt, sample, pats, t1, t2)
 
     with timer.step("F-score Calc."):
         supports = score(cands)

@@ -12,7 +12,7 @@ from repro.core.apt import materialize_apt
 from repro.core.feature_selection import filter_attrs, split_attr_types
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import SupportEvaluator
+from repro.core.metrics import SupportEvaluator, f1_sample
 from repro.core.schema_graph import fk_cond
 from repro.experiments.common import get_dataset
 from repro.substrate.provenance import compute_pt
@@ -64,7 +64,7 @@ def et_comparison_table(
     et_pdf = discretize(pdf[attrs].copy(), fr.num_attrs)
     et_pdf[outcome] = label
 
-    ev = SupportEvaluator(apt, pt, usable, t1, t2)
+    ev = SupportEvaluator(apt, f1_sample(pt, t1, t2), usable, t1, t2)
     rows = []
     et_patterns_last: list[str] = []
     for n in sample_sizes:

@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.ranking import kendall_tau_distance, ndcg
 from repro.core.explain import ExplainResult, dedupe_explanations, explain
-from repro.core.metrics import compute_support
+from repro.core.metrics import compute_support, f1_sample
 from repro.core.pattern import Pattern, Predicate
 from repro.experiments.common import bench_params, get_dataset
 from repro.substrate.provenance import compute_pt
@@ -138,6 +138,7 @@ def user_study_tables(spark: SparkSession, seed: int = 0) -> tuple[list[dict], d
         ),
     )
     apt_tgs = materialize_apt(db, pt, tgs_jg)
+    exact = f1_sample(pt, UQ_1.t1, UQ_1.t2)
 
     rows = []
     fscores, recalls, precs = {}, {}, {}
@@ -147,7 +148,7 @@ def user_study_tables(spark: SparkSession, seed: int = 0) -> tuple[list[dict], d
             apt = apt_pgs
         elif any(p.attr.startswith("team_game_stats") for p in pattern.preds):
             apt = apt_tgs
-        (sup,) = compute_support(apt, pt, [pattern], UQ_1.t1, UQ_1.t2)
+        (sup,) = compute_support(apt, exact, [pattern], UQ_1.t1, UQ_1.t2)
         prec, rec, f1 = sup.metrics(primary)
         fscores[name], recalls[name], precs[name] = f1, rec, prec
         rows.append(

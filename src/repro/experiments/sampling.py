@@ -9,7 +9,7 @@ from pyspark.sql import SparkSession
 from repro.core.apt import materialize_apt
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import SupportEvaluator
+from repro.core.metrics import SupportEvaluator, f1_sample
 from repro.core.feature_selection import split_attr_types
 from repro.core.schema_graph import fk_cond
 from repro.baselines.ranking import ndcg_of_ranking, top_k_recall
@@ -83,7 +83,9 @@ def _lca_top10(apt, pt, uq, rate: float, seed: int = 0):
     t0 = time.perf_counter()
     cands = lca_candidates(pdf, cat, max_patterns=100)
     gen_s = time.perf_counter() - t0
-    ev = SupportEvaluator(apt, pt, list(apt.pattern_cols), uq.t1, uq.t2)
+    ev = SupportEvaluator(
+        apt, f1_sample(pt, uq.t1, uq.t2), list(apt.pattern_cols), uq.t1, uq.t2
+    )
     sups = ev.supports(cands)
     ranked = sorted(
         zip(cands, sups),

@@ -82,11 +82,6 @@ class Database:
             )
         return max(1, self._n_distinct[key])
 
-    def fanout(self, name: str, attrs: tuple[str, ...]) -> float:
-        """Expected number of rows of ``name`` matching one value of the
-        join-key combination ``attrs`` — rows / distinct keys."""
-        return self.n_rows(name) / self.n_distinct(name, attrs)
-
     def to_pandas(self) -> dict[str, "object"]:
         """All tables as pandas frames (for the DuckDB oracle)."""
         return {n: t.df.toPandas() for n, t in self.tables.items()}

@@ -37,7 +37,8 @@ def prov_col(rel_or_alias: str, attr: str) -> str:
 
 @dataclass
 class ProvenanceTable:
-    """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer."""
+    """``PT(Q, D)`` plus the bookkeeping needed to slice it per answer
+    (question sides are labelled by ``repro.core.metrics.sided``)."""
 
     query: AggQuery
     df: DataFrame               # prov_* columns + group output columns + __pt_id
@@ -45,17 +46,6 @@ class ProvenanceTable:
     prov_cols: tuple[str, ...]   # the prov_* columns
     group_prov_cols: tuple[str, ...]  # prov_* twins of group-by attrs
     n_rows: int
-
-    def for_answer(self, t: dict[str, object]) -> DataFrame:
-        """``PT(Q, D, t)`` — rows contributing to answer tuple ``t``."""
-        cond = None
-        for k, v in t.items():
-            c = F.col(k) == F.lit(v)
-            cond = c if cond is None else (cond & c)
-        return self.df.filter(cond) if cond is not None else self.df
-
-    def size_for_answer(self, t: dict[str, object]) -> int:
-        return self.for_answer(t).count()
 
 
 def _prov_prefixes(query: AggQuery) -> dict[str, str]:

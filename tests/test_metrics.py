@@ -1,4 +1,5 @@
 """Quality metrics (Def. 7): Spark path vs pandas brute force, sampling."""
+import pandas as pd
 import pytest
 
 from repro.core.apt import materialize_apt
@@ -8,11 +9,13 @@ from repro.core.metrics import (
     SupportEvaluator,
     brute_force_support,
     compute_support,
+    f1_sample,
     pt_sizes,
 )
 from repro.core.pattern import Pattern, Predicate
 from repro.core.schema_graph import fk_cond
-from repro.substrate.provenance import PT_ID
+from repro.substrate.catalog import Database
+from repro.substrate.provenance import PT_ID, compute_pt
 
 T1 = {"season": "2015-16"}
 T2 = {"season": "2012-13"}
@@ -22,17 +25,46 @@ COND = fk_cond(
 )
 
 
+OMEGA1 = JoinGraph(
+    nodes=((PT_NODE, None), (1, "player_game_scoring")),
+    edges=(JGEdge(PT_NODE, 1, COND, "game", "player_game_scoring"),),
+)
+
+
 @pytest.fixture(scope="module")
 def apt(toy_db, toy_pt):
-    jg = JoinGraph(
-        nodes=((PT_NODE, None), (1, "player_game_scoring")),
-        edges=(JGEdge(PT_NODE, 1, COND, "game", "player_game_scoring"),),
+    return materialize_apt(toy_db, toy_pt, OMEGA1)
+
+
+@pytest.fixture(scope="module")
+def null_season(spark, toy_frames, toy_query):
+    """The toy database plus one GSW win (with a Curry row) whose season is
+    NULL: its provenance is on side 2 of a single-point question only.
+    Returns (PT, Ω1's APT)."""
+    game, pgs = toy_frames
+    game = pd.concat([game, pd.DataFrame(
+        [(2014, 3, 1, "GSW", "LAL", 100, 90, "GSW", None)], columns=game.columns
+    )], ignore_index=True)
+    pgs = pd.concat([pgs, pd.DataFrame(
+        [(2014, 3, 1, "GSW", "S. Curry", 30)], columns=pgs.columns
+    )], ignore_index=True)
+    db = Database(spark)
+    db.add("game", spark.createDataFrame(game), ("year", "month", "day", "home"))
+    db.add(
+        "player_game_scoring",
+        spark.createDataFrame(pgs),
+        ("year", "month", "day", "home", "player"),
     )
-    return materialize_apt(toy_db, toy_pt, jg)
+    pt = compute_pt(db, toy_query)
+    return pt, materialize_apt(db, pt, OMEGA1)
 
 
 def P(*preds):
     return Pattern(tuple(Predicate(a, op, v) for a, op, v in preds))
+
+
+def support(apt, pt, pats, t1, t2, rate=1.0, seed=0):
+    return compute_support(apt, f1_sample(pt, t1, t2, rate, seed), pats, t1, t2)
 
 
 CURRY23 = P(("player_game_scoring_player", "=", "S. Curry"),
@@ -70,14 +102,15 @@ def test_pt_sizes_single_point(toy_pt):
 def test_curry_pattern_support(apt, toy_pt):
     """Hand-checked: Curry ≥23 pts covers 3/3 of 2015-16 wins, 0/1 of
     2012-13 wins (his 22-point DET game is below the threshold)."""
-    (s,) = compute_support(apt, toy_pt, [CURRY23], T1, T2)
+    (s,) = support(apt, toy_pt, [CURRY23], T1, T2)
     assert (s.cov1, s.n1, s.cov2, s.n2) == (3, 3, 0, 1)
     assert s.fscore(1) == pytest.approx(1.0)
 
 
-def test_spark_matches_brute_force(apt, toy_pt):
+def test_spark_matches_brute_force(null_season):
+    pt, apt = null_season
     apt_pdf = apt.df.toPandas()
-    pt_pdf = toy_pt.df.toPandas()
+    pt_pdf = pt.df.toPandas()
     pats = [
         CURRY23,
         P(("player_game_scoring_player", "=", "K. Thompson")),
@@ -85,51 +118,52 @@ def test_spark_matches_brute_force(apt, toy_pt):
         P(("prov_game_home_pts", ">=", 100)),
         Pattern(),
     ]
-    spark_sup = compute_support(apt, toy_pt, pats, T1, T2)
-    for p, s in zip(pats, spark_sup):
-        b = brute_force_support(apt_pdf, pt_pdf, ("season",), p, T1, T2)
-        assert (s.cov1, s.n1, s.cov2, s.n2) == (b.cov1, b.n1, b.cov2, b.n2), (
-            p.describe()
-        )
+    for t2 in (T2, None):
+        spark_sup = support(apt, pt, pats, T1, t2)
+        for p, s in zip(pats, spark_sup):
+            b = brute_force_support(apt_pdf, pt_pdf, ("season",), p, T1, t2)
+            assert s == b, (t2, p.describe())
+    # Single-point: side 2 holds the 2012-13 win and the NULL-season win.
+    assert spark_sup[-1] == Support(cov1=3, n1=3, cov2=2, n2=2)
 
 
-def test_evaluator_matches_spark(apt, toy_pt):
+def test_evaluator_matches_spark(null_season):
+    pt, apt = null_season
     pats = [
         CURRY23,
         P(("player_game_scoring_pts", ">=", 14)),
         P(("player_game_scoring_player", "=", "D. Green")),
+        Pattern(),
     ]
     attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
-    ev = SupportEvaluator(apt, toy_pt, attrs, T1, T2)
-    got = ev.supports(pats)
-    want = compute_support(apt, toy_pt, pats, T1, T2)
-    assert [(s.cov1, s.n1, s.cov2, s.n2) for s in got] == [
-        (s.cov1, s.n1, s.cov2, s.n2) for s in want
-    ]
+    for t2 in (T2, None):
+        sample = f1_sample(pt, T1, t2)
+        got = SupportEvaluator(apt, sample, attrs, T1, t2).supports(pats)
+        assert got == compute_support(apt, sample, pats, T1, t2), t2
 
 
 def test_coverage_counts_pt_tuples_not_apt_rows(apt, toy_pt):
     # The 2012-12-05 game fans out to 3 APT rows; a pattern matching all of
     # them covers ONE provenance tuple.
     p = P(("prov_game_day", "=", 5))
-    (s,) = compute_support(apt, toy_pt, [p], T2, T1)
+    (s,) = support(apt, toy_pt, [p], T2, T1)
     assert s.cov1 == 1
 
 
 def test_empty_pattern_counts_joinable_tuples(apt, toy_pt):
-    (s,) = compute_support(apt, toy_pt, [Pattern()], T1, T2)
+    (s,) = support(apt, toy_pt, [Pattern()], T1, T2)
     # every toy PT tuple has at least one player row → full coverage
     assert (s.cov1, s.cov2) == (3, 1)
 
 
 def test_single_point_question(apt, toy_pt):
-    (s,) = compute_support(apt, toy_pt, [CURRY23], T1, None)
+    (s,) = support(apt, toy_pt, [CURRY23], T1, None)
     assert (s.cov1, s.n1, s.cov2, s.n2) == (3, 3, 0, 1)
 
 
 def test_sampling_is_deterministic(apt, toy_pt):
-    a = compute_support(apt, toy_pt, [CURRY23], T1, T2, f1_samp=0.5, seed=1)
-    b = compute_support(apt, toy_pt, [CURRY23], T1, T2, f1_samp=0.5, seed=1)
+    a = support(apt, toy_pt, [CURRY23], T1, T2, rate=0.5, seed=1)
+    b = support(apt, toy_pt, [CURRY23], T1, T2, rate=0.5, seed=1)
     assert (a[0].cov1, a[0].n1) == (b[0].cov1, b[0].n1)
 
 
@@ -145,7 +179,7 @@ def test_sampling_shrinks_denominators(nba_db):
 
 def test_batching_many_patterns(apt, toy_pt):
     pats = [P(("player_game_scoring_pts", ">=", k)) for k in range(0, 44)]
-    sup = compute_support(apt, toy_pt, pats, T1, T2)
+    sup = support(apt, toy_pt, pats, T1, T2)
     assert len(sup) == 44
     # monotone: higher threshold → fewer covered tuples
     covs = [s.cov1 for s in sup]
@@ -153,4 +187,4 @@ def test_batching_many_patterns(apt, toy_pt):
 
 
 def test_empty_pattern_list(apt, toy_pt):
-    assert compute_support(apt, toy_pt, [], T1, T2) == []
+    assert support(apt, toy_pt, [], T1, T2) == []

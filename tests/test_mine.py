@@ -1,8 +1,12 @@
 """MineAPT (Algorithm 1) end-to-end on the toy Example-1 database."""
+import dataclasses
+
 import pytest
 
+from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
+from repro.core.metrics import brute_force_support, f1_sample, pt_sizes
 from repro.core.mine import Explanation, StepTimer, mine_apt
 from repro.core.schema_graph import fk_cond
 
@@ -36,9 +40,14 @@ def params():
     )
 
 
+def mine(db, pt, jg, params):
+    sample = f1_sample(pt, T1, T2, params.f1_samp, params.seed)
+    return mine_apt(db, pt, jg, T1, T2, params, sample)
+
+
 @pytest.fixture(scope="module")
 def result(toy_db, toy_pt, params):
-    return mine_apt(toy_db, toy_pt, OMEGA1, T1, T2, params)
+    return mine(toy_db, toy_pt, OMEGA1, params)
 
 
 def test_returns_explanations(result):
@@ -89,15 +98,31 @@ def test_empty_apt_returns_no_explanations(toy_db, toy_pt, params):
         nodes=((PT_NODE, None), (1, "player_game_scoring")),
         edges=(JGEdge(PT_NODE, 1, cond, "game", "player_game_scoring"),),
     )
-    res = mine_apt(toy_db, toy_pt, jg, T1, T2, params)
+    res = mine(toy_db, toy_pt, jg, params)
     assert res.explanations == [] and res.apt_rows == 0
 
 
 def test_pt_only_join_graph_mines_provenance_patterns(toy_db, toy_pt, params):
-    res = mine_apt(toy_db, toy_pt, empty_join_graph(), T1, T2, params)
+    res = mine(toy_db, toy_pt, empty_join_graph(), params)
     for e in res.explanations:
         for p in e.pattern.preds:
             assert p.attr.startswith("prov_")
+
+
+def test_f1_sample_missing_a_side_scores_exactly(toy_db, toy_pt, params):
+    # At rate 0.5 / seed 0 the hash sample keeps no 2012-13 win, so the
+    # supports fall back to exact counts over all of PT.
+    assert pt_sizes(toy_pt, T1, T2, 0.5, 0) == (3, 0)
+    sampled = dataclasses.replace(params, f1_samp=0.5, seed=0)
+    res = mine(toy_db, toy_pt, OMEGA1, sampled)
+    assert res.explanations
+    apt_pdf = materialize_apt(toy_db, toy_pt, OMEGA1).df.toPandas()
+    pt_pdf = toy_pt.df.toPandas()
+    for e in res.explanations:
+        assert (e.support.n1, e.support.n2) == (3, 1)
+        assert e.support == brute_force_support(
+            apt_pdf, pt_pdf, toy_pt.group_cols, e.pattern, T1, T2
+        )
 
 
 def test_step_timer_merge():

@@ -34,12 +34,6 @@ def test_pt_ids_stable_across_actions(toy_pt):
     assert a == b
 
 
-def test_for_answer_sizes(toy_pt):
-    # Example 2: PT(Q1, D, t1) for 2012-13 = {g2}; 2015-16 = 3 wins.
-    assert toy_pt.size_for_answer({"season": "2012-13"}) == 1
-    assert toy_pt.size_for_answer({"season": "2015-16"}) == 3
-
-
 def test_pt_contents_match_duckdb(toy_pt, toy_frames):
     game, _ = toy_frames
     got = sorted(
