@@ -6,7 +6,9 @@ realises it as a chain of Catalyst equi-joins:
   * each context node's relation is loaded with columns renamed to a unique
     prefix (``team_``, ``player_salary_``, ``lineup_player2_`` …, matching
     the paper's alias disambiguation);
-  * an edge whose far endpoint is not yet part of the plan becomes a join;
+  * an edge whose far endpoint is not yet part of the plan becomes a join,
+    with a broadcast hint on the PT side (PT is one query's provenance and
+    ``isValid`` caps the APT size), so no APT join shuffles;
     an edge between two already-joined nodes (a cycle / parallel edge)
     becomes a filter;
   * constant constraints inside join conditions become filters;
@@ -52,12 +54,9 @@ class APT:
         ``season_name`` would trivially determine the answer tuples) — plus
         their prov_* twins and ``__pt_id``."""
         banned = set(self.group_cols) | set(self.group_prov_cols)
-        ctx = {}
-        if self.col_attr:
-            ctx = self.col_attr
         banned |= {
             c
-            for c, attr in ctx.items()
+            for c, attr in (self.col_attr or {}).items()
             if attr in set(self.group_attr_names)
         }
         return tuple(
@@ -141,7 +140,7 @@ def materialize_apt(db: Database, pt: ProvenanceTable, jg: JoinGraph) -> APT:
         dropped.extend(
             f"{pfx}_{la if new_is_n1 else ra}" for la, ra in e.cond.pairs
         )
-        df = df.join(right, on=_edge_cond(e, prefixes), how="inner")
+        df = F.broadcast(df).join(right, on=_edge_cond(e, prefixes), how="inner")
         joined.add(new_nid)
     keep_context = [c for c in dict.fromkeys(context_cols) if c not in set(dropped)]
     df = df.drop(*[c for c in set(dropped) if c in df.columns])

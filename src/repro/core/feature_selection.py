@@ -176,7 +176,6 @@ def filter_attrs(
     sample_pdf: pd.DataFrame,
     label: np.ndarray,
     n_sel_attr: int,
-    exclude: tuple[str, ...] = (),
     enabled: bool = True,
     seed: int = 0,
 ) -> FilterResult:
@@ -184,7 +183,7 @@ def filter_attrs(
     relevance with the random forest, keep the top ``n_sel_attr`` cluster
     representatives of each type. With ``enabled=False`` ("Naive" in §5.1)
     every attribute survives."""
-    num, cat = split_attr_types(sample_pdf, exclude)
+    num, cat = split_attr_types(sample_pdf)
     attrs = num + cat
     X = encode_matrix(sample_pdf, attrs)
     imp = rf_importance(X, label, seed=seed)

@@ -11,7 +11,8 @@ F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
 the same sample is drawn across batches. ``sided`` is the one definition of
 a row's question side and sample membership; ``f1_sample`` sizes the sample
-(the recall denominators) once per question.
+(the recall denominators) once per question; ``sided_rows`` is the one
+projection of an APT that ``mine_apt`` collects per join graph.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
 to validate the distributed path.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.substrate.provenance import PT_ID, ProvenanceTable
@@ -31,6 +32,8 @@ from repro.core.pattern import Pattern
 
 _BATCH = 200  # patterns per Spark job; keeps codegen size bounded
 SIDE = "__side"  # question side of a row: 1 (t1) or 2 (t2)
+IN_F1 = "__in_f1"  # the row's PT tuple is in the F-score sample
+MINE_KEY = "__mine_key"  # the row's PT-tuple hash that draws the mining sample
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,15 @@ def _group_cond(group_cols: tuple[str, ...], t: dict[str, object]) -> Column:
     return cond
 
 
+def _tuple_hash(seed: int, *salt: Column) -> Column:
+    """A PT tuple's hash bucket in [0, 10⁴): every APT row of a tuple agrees."""
+    return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed), *salt), F.lit(10000))
+
+
 def _sample_pred(rate: float | None, seed: int) -> Column | None:
     if rate is None or rate >= 1.0:
         return None
-    return F.pmod(F.xxhash64(F.col(PT_ID), F.lit(seed)), F.lit(10000)) < int(
-        rate * 10000
-    )
+    return _tuple_hash(seed) < int(rate * 10000)
 
 
 def sided(
@@ -165,6 +171,31 @@ def f1_sample(
     return F1Sample(1.0, seed, *pt_sizes(pt, t1, t2))
 
 
+def sided_rows(
+    apt: APT,
+    t1: dict[str, object],
+    t2: dict[str, object] | None,
+    sample: F1Sample,
+    obs: Observation | None = None,
+) -> DataFrame:
+    """The APT rows on a side of the question, projected to the mining-sample
+    key ``__mine_key`` (a salted PT-tuple hash, independent of the F-score
+    sample's), ``__pt_id``, ``__side``, the F-score-sample flag ``__in_f1``
+    and the pattern columns. With ``obs``, the action that runs this plan
+    also counts every APT row into ``obs.get["rows"]``."""
+    df = apt.df
+    if obs is not None:
+        df = df.observe(obs, F.count(F.lit(1)).alias("rows"))
+    in_f1 = _sample_pred(sample.rate, sample.seed)
+    return sided(df, apt.group_cols, t1, t2).select(
+        _tuple_hash(sample.seed, F.lit("pat-samp")).alias(MINE_KEY),
+        PT_ID,
+        SIDE,
+        (F.lit(True) if in_f1 is None else in_f1).alias(IN_F1),
+        *apt.pattern_cols,
+    )
+
+
 def compute_support(
     apt: APT,
     sample: F1Sample,
@@ -204,31 +235,16 @@ def compute_support(
 class SupportEvaluator:
     """Vectorised support evaluation over a collected APT projection.
 
-    One Spark job materialises the F1-sampled APT restricted to the two
-    question sides and projected to (``__pt_id``, side, pattern columns);
-    every subsequent pattern evaluation is then a numpy pass on the driver.
-    This mirrors the paper's design — λ_F1-samp exists precisely to make
-    F-score calculation operate on a bounded sample — while keeping the
-    data-heavy steps (PT, APT joins, sampling) in Spark. For APTs whose
-    sampled projection would not fit the driver, callers use
+    ``rows`` is :func:`sided_rows` on the driver; the evaluator keeps the
+    rows of the F-score sample and scores each pattern with a numpy pass,
+    without a Spark job — λ_F1-samp exists to make F-score calculation run
+    on a bounded sample. APTs too big to collect are scored by
     :func:`compute_support` (the fully distributed path).
     """
 
-    def __init__(
-        self,
-        apt: APT,
-        sample: F1Sample,
-        attrs: list[str],
-        t1: dict[str, object],
-        t2: dict[str, object] | None,
-    ) -> None:
+    def __init__(self, rows: pd.DataFrame, sample: F1Sample) -> None:
         self.sample = sample
-        cols = [c for c in dict.fromkeys(attrs) if c in apt.df.columns]
-        self.pdf = (
-            sided(apt.df, apt.group_cols, t1, t2, sample.rate, sample.seed)
-            .select(PT_ID, SIDE, *cols)
-            .toPandas()
-        )
+        self.pdf = rows[rows[IN_F1]].reset_index(drop=True)
         codes, uniques = pd.factorize(self.pdf[PT_ID])
         self._codes = codes
         self._n_ptids = len(uniques)

@@ -3,17 +3,23 @@
 Phases, each timed under the step names the paper's runtime-breakdown
 tables use (Fig. 7/7a/9c/9d):
 
-  Materialize APTs   — build + cache + count the APT for Ω.
-  Feature Selection  — draw the mining sample, cluster + RF-filter attrs.
+  Materialize APTs   — build the APT for Ω and collect its sided rows
+                       (``metrics.sided_rows``) in the graph's one Spark
+                       action, which also counts the APT's rows.
+  Feature Selection  — take the mining sample, cluster + RF-filter attrs.
   Gen. Pat. Cand.    — LCA candidates over categorical attributes.
-  Sampling for F1    — collect the F-score sample of the APT for driver-side
-                       scoring (the sample itself and its per-side sizes,
-                       the recall denominators, are fixed once per
-                       question by ``explain``).
-  F-score Calc.      — batched Spark evaluation of pattern supports.
+  Sampling for F1    — build the evaluator frame from the collected rows of
+                       the F-score sample (the sample itself and its
+                       per-side sizes, the recall denominators, are fixed
+                       once per question by ``explain``).
+  F-score Calc.      — support evaluation of the candidate patterns.
   Refine Patterns    — numeric-predicate refinement rounds (Prop. 3.1
                        recall pruning; refinement evaluation cost is billed
                        here).
+
+The mining sample is the rows whose PT-tuple key is below λ_pat-samp·10⁴
+(all sided rows if under 20), in (key, ``__pt_id``, columns) order, capped.
+APTs estimated above ``_MAX_DRIVER_ROWS`` stay in Spark (``compute_support``).
 
 Returns the diversity-ranked top-k explanations for both orientations of
 the user question plus the per-step timings and APT stats.
@@ -24,20 +30,24 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import pandas as pd
+from pyspark.sql import Observation
+
 from repro.substrate.catalog import Database
 from repro.substrate.provenance import ProvenanceTable
-from repro.core.apt import APT, materialize_apt
+from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
-from repro.core.join_graph import JoinGraph
+from repro.core.join_graph import JoinGraph, estimate_apt_rows
 from repro.core.lca import lca_candidates
 from repro.core.metrics import (
+    MINE_KEY,
     SIDE,
     F1Sample,
     Support,
     SupportEvaluator,
     compute_support,
-    sided,
+    sided_rows,
 )
 from repro.core.pattern import Pattern
 from repro.core.refine import numeric_fragments, refinements
@@ -54,7 +64,7 @@ STEP_NAMES = (
 )
 
 _BEAM = 60  # refinements carried to the next round (tractability cap)
-_MAX_DRIVER_ROWS = 3_000_000  # above this, score via the distributed path
+_MAX_DRIVER_ROWS = 3_000_000  # estimated APTs above this are not collected
 
 
 class StepTimer:
@@ -116,19 +126,20 @@ class MineResult:
     n_candidates: int = 0
 
 
-def _sided_sample(apt: APT, t1, t2, rate: float, cap: int, seed: int):
-    """Pandas mining sample restricted to the two sides + its binary label."""
-    full = sided(apt.df, apt.group_cols, t1, t2)
-    df = full
-    if rate < 1.0:
-        df = df.sample(fraction=min(1.0, rate * 1.3), seed=seed)
-    pdf = df.limit(cap).toPandas()
+def mining_sample(rows, rate: float, cap: int) -> pd.DataFrame:
+    """The λ_pat-samp mining sample of ``rows``, the :func:`sided_rows` of an
+    APT as a pandas frame or, for APTs not collected, as a Spark frame."""
+
+    def first(df):  # the first ``cap`` rows in the order of all columns
+        if isinstance(df, pd.DataFrame):
+            return df.sort_values(list(df.columns), na_position="first").head(cap)
+        return df.orderBy(*df.columns).limit(cap).toPandas()
+
+    pdf = first(rows[rows[MINE_KEY] < int(rate * 10000)])
     if len(pdf) < 20:
-        # Tiny APT: the rate sample is too small to mine from — fall back
-        # to the first ``cap`` rows (still bounded).
-        pdf = full.limit(cap).toPandas()
-    label = (pdf[SIDE] == 1).to_numpy(dtype=int)
-    return pdf.drop(columns=[SIDE]), label
+        # Tiny APT: the rate sample is too small to mine from.
+        pdf = first(rows)
+    return pdf.reset_index(drop=True)
 
 
 def mine_apt(
@@ -143,14 +154,14 @@ def mine_apt(
     """Mine one join graph. ``sample`` is the question's F-score sample
     (:func:`repro.core.metrics.f1_sample`), shared by all join graphs."""
     timer = StepTimer()
+    on_driver = estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
 
     with timer.step("Materialize APTs"):
         apt = materialize_apt(db, pt, jg)
-        apt.df = apt.df.cache()
-        apt_rows = apt.df.count()
-    if apt_rows == 0:
-        apt.df.unpersist()
-        return MineResult([], timer, apt_rows=0)
+        obs = Observation()
+        rows = sided_rows(apt, t1, t2, sample, obs)
+        if on_driver:
+            rows = rows.toPandas()
 
     # With feature selection disabled ("Naive", §5.1) the mining sample is
     # still needed for LCA, so its cost is billed to candidate generation
@@ -159,18 +170,12 @@ def mine_apt(
         "Feature Selection" if params.feature_selection else "Gen. Pat. Cand."
     )
     with timer.step(fs_step):
-        sample_pdf, label = _sided_sample(
-            apt, t1, t2, params.pat_samp, params.pat_samp_cap, params.seed
-        )
-        usable = list(apt.pattern_cols)
-        exclude = tuple(
-            c for c in sample_pdf.columns if c not in usable
-        )
+        mining = mining_sample(rows, params.pat_samp, params.pat_samp_cap)
+        sample_pdf = mining[list(apt.pattern_cols)]
         fr = filter_attrs(
             sample_pdf,
-            label,
+            (mining[SIDE] == 1).to_numpy(dtype=int),
             params.n_sel_attr,
-            exclude=exclude,
             enabled=params.feature_selection,
             seed=params.seed,
         )
@@ -178,11 +183,8 @@ def mine_apt(
     with timer.step("Gen. Pat. Cand."):
         cands = lca_candidates(sample_pdf, fr.cat_attrs, max_patterns=200)
 
-    pattern_attrs = list(dict.fromkeys(fr.num_attrs + fr.cat_attrs))
-    evaluator: SupportEvaluator | None = None
     with timer.step("Sampling for F1"):
-        if apt_rows * sample.rate <= _MAX_DRIVER_ROWS:
-            evaluator = SupportEvaluator(apt, sample, pattern_attrs, t1, t2)
+        evaluator = SupportEvaluator(rows, sample) if on_driver else None
 
     def score(pats: list[Pattern]) -> list[Support]:
         if evaluator is not None:
@@ -250,11 +252,10 @@ def mine_apt(
         pattern_of=lambda e: e.pattern,
         fscore_of=lambda e: e.fscore,
     )
-    apt.df.unpersist()
     return MineResult(
         top,
         timer,
-        apt_rows=apt_rows,
+        apt_rows=obs.get["rows"],
         n_pattern_attrs=len(apt.pattern_cols),
         n_candidates=len(scored),
     )

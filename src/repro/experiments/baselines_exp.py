@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from pyspark.sql import SparkSession
+from pyspark.sql import Observation, SparkSession
 
 from repro.baselines.cape import counterbalances
 from repro.baselines.explanation_tables import discretize, explanation_table
@@ -12,7 +12,7 @@ from repro.core.apt import materialize_apt
 from repro.core.feature_selection import filter_attrs, split_attr_types
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import SupportEvaluator, f1_sample
+from repro.core.metrics import SIDE, SupportEvaluator, f1_sample, sided_rows
 from repro.core.schema_graph import fk_cond
 from repro.experiments.common import get_dataset
 from repro.substrate.provenance import compute_pt
@@ -45,26 +45,26 @@ def et_comparison_table(
     gets numeric attributes discretised up front (§A.1). The CaJaDE side
     measures its sample-driven mining path (LCA + recall ranking) on the
     same APT; the ET side measures the greedy information-gain summary.
+    Both see the APT rows of UQ_1's two seasons, collected once, with the
+    question side (t1 = 1) as ET's outcome.
     """
     db, _sg = get_dataset(spark, "nba")
     pt = compute_pt(db, Q_NBA4)
     apt = materialize_apt(db, pt, _pgs_player_jg())
-    apt.df = apt.df.cache()
-    n_rows = apt.df.count()
-    pdf = apt.df.toPandas()
-
-    import numpy as np
-
     t1, t2 = UQ_1.t1, UQ_1.t2
-    label = (pdf["season_name"] == t1["season_name"]).to_numpy(dtype=int)
-    usable = [c for c in apt.pattern_cols]
-    fr = filter_attrs(pdf[usable], label, n_sel_attr=10)
+    sample = f1_sample(pt, t1, t2)
+    obs = Observation()
+    pdf = sided_rows(apt, t1, t2, sample, obs).toPandas()
+    n_rows = obs.get["rows"]
+
+    label = (pdf[SIDE] == 1).to_numpy(dtype=int)
+    fr = filter_attrs(pdf[list(apt.pattern_cols)], label, n_sel_attr=10)
     attrs = fr.num_attrs + fr.cat_attrs
     outcome = "__outcome"
     et_pdf = discretize(pdf[attrs].copy(), fr.num_attrs)
     et_pdf[outcome] = label
 
-    ev = SupportEvaluator(apt, f1_sample(pt, t1, t2), usable, t1, t2)
+    ev = SupportEvaluator(pdf, sample)
     rows = []
     et_patterns_last: list[str] = []
     for n in sample_sizes:
@@ -92,7 +92,6 @@ def et_comparison_table(
                 "ET candidates": res.n_candidates,
             }
         )
-    apt.df.unpersist()
     return rows, {
         "apt_rows": n_rows,
         "n_attrs_after_fs": len(attrs),

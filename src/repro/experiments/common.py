@@ -18,13 +18,7 @@ from pyspark.sql import SparkSession
 from repro.substrate.catalog import Database
 from repro.core.config import CajadeParams
 from repro.core.schema_graph import SchemaGraph
-from repro.workload import (
-    MIMIC_QUESTIONS,
-    NBA_QUESTIONS,
-    UQ_1,
-    UQ_MIMIC4,
-    UserQuestion,
-)
+from repro.workload import UQ_1, UQ_MIMIC4, UserQuestion
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
 BENCH_EDGES = int(os.environ.get("REPRO_BENCH_EDGES", "2"))
@@ -58,10 +52,6 @@ def question_for(dataset: str) -> UserQuestion:
     """The question each runtime experiment uses (§5.1/§5.2): the running
     example UQ_1 for NBA, Q_mimic4's question for MIMIC."""
     return UQ_1 if dataset == "nba" else UQ_MIMIC4
-
-
-def all_questions() -> dict[str, UserQuestion]:
-    return {**NBA_QUESTIONS, **MIMIC_QUESTIONS}
 
 
 def bench_params(**over) -> CajadeParams:

@@ -9,7 +9,8 @@ from pyspark.sql import SparkSession
 from repro.core.apt import materialize_apt
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
 from repro.core.lca import lca_candidates
-from repro.core.metrics import SupportEvaluator, f1_sample
+from repro.core.metrics import SupportEvaluator, f1_sample, sided_rows
+from repro.core.mine import mining_sample
 from repro.core.feature_selection import split_attr_types
 from repro.core.schema_graph import fk_cond
 from repro.baselines.ranking import ndcg_of_ranking, top_k_recall
@@ -41,10 +42,10 @@ def _mimic_omega4() -> JoinGraph:
     )
 
 
-def _four_apts(spark: SparkSession, sf: float | None = None):
+def _four_apts(spark: SparkSession):
     """(label, structure, apt, pt, uq) for Ω1..Ω4 as in Fig 10a."""
-    nba_db, _ = get_dataset(spark, "nba", sf) if sf else get_dataset(spark, "nba")
-    mimic_db, _ = get_dataset(spark, "mimic", sf) if sf else get_dataset(spark, "mimic")
+    nba_db, _ = get_dataset(spark, "nba")
+    mimic_db, _ = get_dataset(spark, "mimic")
     out = []
     pt_nba = compute_pt(nba_db, Q_NBA1)
     out.append(("Ω1", "PT", materialize_apt(nba_db, pt_nba, empty_join_graph()), pt_nba, UQ_NBA1))
@@ -70,22 +71,16 @@ def apt_stats_table(spark: SparkSession) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _lca_top10(apt, pt, uq, rate: float, seed: int = 0):
-    """LCA candidates at a sample rate, ranked by recall; returns the
-    top-10 descriptions and the candidate-generation runtime."""
-    from pyspark.sql import functions as F
-
-    df = apt.df
-    if rate < 1.0:
-        df = df.sample(fraction=rate, seed=seed)
-    pdf = df.limit(2000).toPandas()
+def _lca_top10(apt, rows, ev: SupportEvaluator, rate: float):
+    """LCA candidates on ``mine_apt``'s mining sample at a sample rate,
+    ranked by recall; returns the top-10 descriptions, the
+    candidate-generation runtime and the sample size. ``rows`` is the APT's
+    collected ``sided_rows`` and ``ev`` scores on them."""
+    pdf = mining_sample(rows, rate, 2000)
     _num, cat = split_attr_types(pdf[list(apt.pattern_cols)])
     t0 = time.perf_counter()
     cands = lca_candidates(pdf, cat, max_patterns=100)
     gen_s = time.perf_counter() - t0
-    ev = SupportEvaluator(
-        apt, f1_sample(pt, uq.t1, uq.t2), list(apt.pattern_cols), uq.t1, uq.t2
-    )
     sups = ev.supports(cands)
     ranked = sorted(
         zip(cands, sups),
@@ -102,10 +97,12 @@ def lca_sampling_table(
     against the no-sampling ground truth."""
     rows = []
     for label, structure, apt, pt, uq in _four_apts(spark):
-        apt.df = apt.df.cache()
-        truth, _, _ = _lca_top10(apt, pt, uq, 1.0)
+        sample = f1_sample(pt, uq.t1, uq.t2)
+        sided = sided_rows(apt, uq.t1, uq.t2, sample).toPandas()
+        ev = SupportEvaluator(sided, sample)
+        truth, _, _ = _lca_top10(apt, sided, ev, 1.0)
         for rate in rates:
-            top, gen_s, n_rows = _lca_top10(apt, pt, uq, rate)
+            top, gen_s, n_rows = _lca_top10(apt, sided, ev, rate)
             rows.append(
                 {
                     "join graph": label,
@@ -115,7 +112,6 @@ def lca_sampling_table(
                     "match@10": len(set(top) & set(truth)),
                 }
             )
-        apt.df.unpersist()
     return rows, {}
 
 

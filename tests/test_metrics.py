@@ -11,6 +11,7 @@ from repro.core.metrics import (
     compute_support,
     f1_sample,
     pt_sizes,
+    sided_rows,
 )
 from repro.core.pattern import Pattern, Predicate
 from repro.core.schema_graph import fk_cond
@@ -135,10 +136,10 @@ def test_evaluator_matches_spark(null_season):
         P(("player_game_scoring_player", "=", "D. Green")),
         Pattern(),
     ]
-    attrs = ["player_game_scoring_player", "player_game_scoring_pts"]
     for t2 in (T2, None):
         sample = f1_sample(pt, T1, t2)
-        got = SupportEvaluator(apt, sample, attrs, T1, t2).supports(pats)
+        rows = sided_rows(apt, T1, t2, sample).toPandas()
+        got = SupportEvaluator(rows, sample).supports(pats)
         assert got == compute_support(apt, sample, pats, T1, t2), t2
 
 
