@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+_MAX_Q_COST = 3_000_000  # rows; every mined APT is collected to the driver
+
 
 @dataclass
 class CajadeParams:
@@ -23,6 +25,9 @@ class CajadeParams:
                                      thresholds (§3.4).
     ``q_cost``         λ_qCost     — join graphs whose estimated APT row count
                                      exceeds this are skipped by isValid (§4).
+                                     Every other APT is collected to the
+                                     driver, so this also bounds the rows
+                                     collected per join graph; at most 3M.
     ``k``                          — patterns returned per join graph.
     ``k_cat``                      — categorical patterns kept for refinement.
     ``feature_selection``          — turn §3.1 off for the "Naive" baseline.
@@ -43,3 +48,10 @@ class CajadeParams:
     k_cat: int = 15
     feature_selection: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.q_cost > _MAX_Q_COST:
+            raise ValueError(
+                f"q_cost={self.q_cost:g} exceeds {_MAX_Q_COST:,} rows, the "
+                "largest APT mine_apt collects to the driver"
+            )

@@ -30,13 +30,11 @@ import pandas as pd
 _CAT_CARD_MAX = 12  # numeric columns with ≤ this many values act categorical
 
 
-def split_attr_types(
-    pdf: pd.DataFrame, exclude: tuple[str, ...] = ()
-) -> tuple[list[str], list[str]]:
+def split_attr_types(pdf: pd.DataFrame) -> tuple[list[str], list[str]]:
     """(numeric_attrs, categorical_attrs) usable in patterns."""
     num, cat = [], []
     for c in pdf.columns:
-        if c in exclude or c.endswith("_id") or c.startswith("__"):
+        if c.endswith("_id") or c.startswith("__"):
             continue
         s = pdf[c]
         if pd.api.types.is_numeric_dtype(s) and not pd.api.types.is_bool_dtype(s):
@@ -164,11 +162,10 @@ def cluster_attributes(
 
 @dataclass
 class FilterResult:
-    """FILTERATTRS output: selected numeric/categorical attrs + clusters."""
+    """FILTERATTRS output: selected numeric/categorical attrs."""
 
     num_attrs: list[str]
     cat_attrs: list[str]
-    clusters: list[list[str]]
     importance: dict[str, float]
 
 
@@ -189,10 +186,10 @@ def filter_attrs(
     imp = rf_importance(X, label, seed=seed)
     imp_map = {a: float(v) for a, v in zip(attrs, imp)}
     if not enabled:
-        return FilterResult(num, cat, [[a] for a in attrs], imp_map)
+        return FilterResult(num, cat, imp_map)
     clusters = cluster_attributes(X, attrs, imp)
     reps = [cl[0] for cl in clusters]
     reps.sort(key=lambda a: -imp_map[a])
     sel_num = [a for a in reps if a in num][:n_sel_attr]
     sel_cat = [a for a in reps if a in cat][:n_sel_attr]
-    return FilterResult(sel_num, sel_cat, clusters, imp_map)
+    return FilterResult(sel_num, sel_cat, imp_map)

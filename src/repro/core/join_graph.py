@@ -113,7 +113,6 @@ class JoinGraph:
 
     def structure(self) -> str:
         """Compact ``PT - rel - rel`` chain description (as in Fig. 10a)."""
-        labels = self.node_labels
         if not self.edges:
             return "PT"
         names = ["PT"] + [r for n, r in sorted(self.nodes) if r is not None]

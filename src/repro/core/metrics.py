@@ -1,11 +1,12 @@
 """Pattern quality metrics (Def. 7): TP/FP/FN, precision, recall, F-score.
 
 Coverage counts *distinct provenance tuples* — a PT tuple is covered when at
-least one of its APT rows matches the pattern — so the Spark evaluation is a
-two-stage aggregation: per-(``__pt_id``, side) ``max(match_i)`` then a
-per-side ``sum``. All patterns of a batch are evaluated in **one** Spark job
-(one boolean column per pattern), which is the optimization that makes
-"F-score Calc." tractable (§5.1's dominant step).
+least one of its APT rows matches the pattern. ``SupportEvaluator`` is the
+mining path: it scores patterns with numpy over the sided rows ``mine_apt``
+collects. ``compute_support`` is the Spark evaluator, used by Table 8 and
+by the tests as an independent cross-check: a two-stage aggregation,
+per-(``__pt_id``, side) ``max(match_i)`` then a per-side ``sum``, one Spark
+action per batch of patterns (one boolean column per pattern).
 
 F-score sampling (λ_F1-samp) samples *PT tuples* (not APT rows) with a
 deterministic hash so numerator and denominator stay consistent, and so that
@@ -15,7 +16,7 @@ a row's question side and sample membership; ``f1_sample`` sizes the sample
 projection of an APT that ``mine_apt`` collects per join graph.
 
 ``brute_force_support`` is a pandas reference implementation used by tests
-to validate the distributed path.
+to validate both evaluators.
 """
 from __future__ import annotations
 
@@ -238,8 +239,7 @@ class SupportEvaluator:
     ``rows`` is :func:`sided_rows` on the driver; the evaluator keeps the
     rows of the F-score sample and scores each pattern with a numpy pass,
     without a Spark job — λ_F1-samp exists to make F-score calculation run
-    on a bounded sample. APTs too big to collect are scored by
-    :func:`compute_support` (the fully distributed path).
+    on a bounded sample.
     """
 
     def __init__(self, rows: pd.DataFrame, sample: F1Sample) -> None:

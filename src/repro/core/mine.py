@@ -19,7 +19,6 @@ tables use (Fig. 7/7a/9c/9d):
 
 The mining sample is the rows whose PT-tuple key is below λ_pat-samp·10⁴
 (all sided rows if under 20), in (key, ``__pt_id``, columns) order, capped.
-APTs estimated above ``_MAX_DRIVER_ROWS`` stay in Spark (``compute_support``).
 
 Returns the diversity-ranked top-k explanations for both orientations of
 the user question plus the per-step timings and APT stats.
@@ -38,7 +37,7 @@ from repro.substrate.provenance import ProvenanceTable
 from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.feature_selection import filter_attrs
-from repro.core.join_graph import JoinGraph, estimate_apt_rows
+from repro.core.join_graph import JoinGraph
 from repro.core.lca import lca_candidates
 from repro.core.metrics import (
     MINE_KEY,
@@ -46,7 +45,6 @@ from repro.core.metrics import (
     F1Sample,
     Support,
     SupportEvaluator,
-    compute_support,
     sided_rows,
 )
 from repro.core.pattern import Pattern
@@ -64,7 +62,6 @@ STEP_NAMES = (
 )
 
 _BEAM = 60  # refinements carried to the next round (tractability cap)
-_MAX_DRIVER_ROWS = 3_000_000  # estimated APTs above this are not collected
 
 
 class StepTimer:
@@ -86,10 +83,6 @@ class StepTimer:
     def merge(self, other: "StepTimer") -> None:
         for k, v in other.times.items():
             self.times[k] = self.times.get(k, 0.0) + v
-
-    @property
-    def total(self) -> float:
-        return sum(self.times.values())
 
 
 @dataclass(frozen=True)
@@ -126,14 +119,12 @@ class MineResult:
     n_candidates: int = 0
 
 
-def mining_sample(rows, rate: float, cap: int) -> pd.DataFrame:
-    """The λ_pat-samp mining sample of ``rows``, the :func:`sided_rows` of an
-    APT as a pandas frame or, for APTs not collected, as a Spark frame."""
+def mining_sample(rows: pd.DataFrame, rate: float, cap: int) -> pd.DataFrame:
+    """The λ_pat-samp mining sample of ``rows``, the collected
+    :func:`sided_rows` of an APT."""
 
     def first(df):  # the first ``cap`` rows in the order of all columns
-        if isinstance(df, pd.DataFrame):
-            return df.sort_values(list(df.columns), na_position="first").head(cap)
-        return df.orderBy(*df.columns).limit(cap).toPandas()
+        return df.sort_values(list(df.columns), na_position="first").head(cap)
 
     pdf = first(rows[rows[MINE_KEY] < int(rate * 10000)])
     if len(pdf) < 20:
@@ -154,14 +145,11 @@ def mine_apt(
     """Mine one join graph. ``sample`` is the question's F-score sample
     (:func:`repro.core.metrics.f1_sample`), shared by all join graphs."""
     timer = StepTimer()
-    on_driver = estimate_apt_rows(jg, db, pt.n_rows) <= _MAX_DRIVER_ROWS
 
     with timer.step("Materialize APTs"):
         apt = materialize_apt(db, pt, jg)
         obs = Observation()
-        rows = sided_rows(apt, t1, t2, sample, obs)
-        if on_driver:
-            rows = rows.toPandas()
+        rows = sided_rows(apt, t1, t2, sample, obs).toPandas()
 
     # With feature selection disabled ("Naive", §5.1) the mining sample is
     # still needed for LCA, so its cost is billed to candidate generation
@@ -184,15 +172,10 @@ def mine_apt(
         cands = lca_candidates(sample_pdf, fr.cat_attrs, max_patterns=200)
 
     with timer.step("Sampling for F1"):
-        evaluator = SupportEvaluator(rows, sample) if on_driver else None
-
-    def score(pats: list[Pattern]) -> list[Support]:
-        if evaluator is not None:
-            return evaluator.supports(pats)
-        return compute_support(apt, sample, pats, t1, t2)
+        evaluator = SupportEvaluator(rows, sample)
 
     with timer.step("F-score Calc."):
-        supports = score(cands)
+        supports = evaluator.supports(cands)
     scored: dict[Pattern, Support] = dict(zip(cands, supports))
     keep = [
         p
@@ -224,7 +207,7 @@ def mine_apt(
                         todo.append(r)
             if not todo:
                 break
-            sups = score(todo)
+            sups = evaluator.supports(todo)
             for p, s in zip(todo, sups):
                 scored[p] = s
             # Prop. 3.1: refinements of low-recall patterns stay low-recall.

@@ -10,19 +10,11 @@ Attribute references are written ``alias.attr`` throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
 from repro.substrate.catalog import Database
-
-
-def split_ref(ref: str) -> tuple[str, str]:
-    """``"g.season_id"`` → ``("g", "season_id")``."""
-    alias, _, attr = ref.partition(".")
-    if not attr:
-        raise ValueError(f"attribute reference {ref!r} must be alias-qualified")
-    return alias, attr
 
 
 @dataclass(frozen=True)
@@ -51,11 +43,6 @@ class AggQuery:
             raise ValueError(f"duplicate table aliases in {aliases}")
 
     # ---- helpers ------------------------------------------------------
-    @property
-    def aliases(self) -> dict[str, str]:
-        """alias → relation name."""
-        return {a: r for r, a in self.tables}
-
     @property
     def relations(self) -> tuple[str, ...]:
         """``rels_Q(D)`` — relations accessed by the query."""
@@ -91,11 +78,3 @@ class AggQuery:
         """Evaluate ``Q(D)`` through Catalyst."""
         db.create_views()
         return db.spark.sql(self.to_sql())
-
-    def group_filter_sql(self, t: dict[str, object]) -> str:
-        """WHERE fragment selecting the group of answer tuple ``t``
-        (keyed by group-by *output* names)."""
-        out_to_ref = {out: ref for ref, out in self.group_by}
-        return " AND ".join(
-            f"{out_to_ref[k]} = {self._literal(v)}" for k, v in t.items()
-        )

@@ -1,4 +1,6 @@
 """Table 1: parameter defaults of the approach."""
+import pytest
+
 from repro.core.config import CajadeParams
 
 
@@ -38,3 +40,12 @@ def test_feature_selection_on_by_default():
 def test_overrides():
     p = CajadeParams(n_edges=1, f1_samp=0.1)
     assert (p.n_edges, p.f1_samp) == (1, 0.1)
+
+
+def test_q_cost_bounded_by_driver_collect():
+    # Every APT isValid admits is collected to the driver, so λ_qCost is
+    # capped at 3M rows.
+    assert CajadeParams(q_cost=3_000_000).q_cost == 3_000_000
+    assert CajadeParams().q_cost == 2_000_000
+    with pytest.raises(ValueError):
+        CajadeParams(q_cost=3_000_001)

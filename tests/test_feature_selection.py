@@ -42,12 +42,6 @@ def test_split_types(pdf):
     assert "row_id" not in num + cat  # *_id excluded
 
 
-def test_split_types_exclude(pdf):
-    frame, _ = pdf
-    num, cat = split_attr_types(frame, exclude=("pts",))
-    assert "pts" not in num
-
-
 def test_encode_matrix_shape(pdf):
     frame, _ = pdf
     X = encode_matrix(frame, ["pts", "team"])

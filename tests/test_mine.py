@@ -6,7 +6,6 @@ import pytest
 from repro.core.apt import materialize_apt
 from repro.core.config import CajadeParams
 from repro.core.join_graph import PT_NODE, JGEdge, JoinGraph, empty_join_graph
-import repro.core.mine as mine_module
 from repro.core.metrics import _sample_pred, brute_force_support, f1_sample, pt_sizes
 from repro.core.mine import Explanation, StepTimer, mine_apt
 from repro.core.schema_graph import fk_cond
@@ -134,10 +133,9 @@ def test_step_timer_merge():
     b.times["y"] = 3.0
     a.merge(b)
     assert a.times == {"x": 3.0, "y": 3.0}
-    assert a.total == 6.0
 
 
-def test_distributed_branch_matches_driver_branch(toy_db, toy_pt, params, monkeypatch):
+def test_partial_f1_sample_matches_brute_force(toy_db, toy_pt, params):
     # A seed whose F-score sample drops PT tuples but keeps both sides, and
     # a mining-sample cap that cuts into the ordered rows.
     seed = next(
@@ -146,17 +144,12 @@ def test_distributed_branch_matches_driver_branch(toy_db, toy_pt, params, monkey
         and sum(pt_sizes(toy_pt, T1, T2, 0.5, s)) < toy_pt.n_rows
     )
     sampled = dataclasses.replace(params, f1_samp=0.5, seed=seed, pat_samp_cap=6)
-    driver = mine(toy_db, toy_pt, OMEGA1, sampled)
-    monkeypatch.setattr(mine_module, "_MAX_DRIVER_ROWS", 0)
-    dist = mine(toy_db, toy_pt, OMEGA1, sampled)
-    assert dist.explanations and dist.apt_rows == driver.apt_rows == 8
-    assert [(e.describe(), e.support) for e in dist.explanations] == [
-        (e.describe(), e.support) for e in driver.explanations
-    ]
+    res = mine(toy_db, toy_pt, OMEGA1, sampled)
+    assert res.explanations and res.apt_rows == 8
     ids = set(toy_pt.df.filter(_sample_pred(0.5, seed)).toPandas()[PT_ID])
     apt_pdf = materialize_apt(toy_db, toy_pt, OMEGA1).df.toPandas()
     pt_pdf = toy_pt.df.toPandas()
-    for e in dist.explanations:
+    for e in res.explanations:
         assert e.support == brute_force_support(
             apt_pdf[apt_pdf[PT_ID].isin(ids)], pt_pdf[pt_pdf[PT_ID].isin(ids)],
             toy_pt.group_cols, e.pattern, T1, T2,

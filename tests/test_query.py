@@ -2,16 +2,7 @@
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.substrate.query import AggQuery, split_ref
-
-
-def test_split_ref():
-    assert split_ref("g.season_id") == ("g", "season_id")
-
-
-def test_split_ref_rejects_unqualified():
-    with pytest.raises(ValueError):
-        split_ref("season_id")
+from repro.substrate.query import AggQuery
 
 
 def test_duplicate_aliases_rejected():
@@ -38,12 +29,6 @@ def test_literal_escaping(toy_db):
     )
     assert "O''Brien" in q.to_sql()
     assert q.result(toy_db).collect()[0]["c"] == 0
-
-
-def test_group_filter_sql(toy_query):
-    assert toy_query.group_filter_sql({"season": "2015-16"}) == (
-        "g.season = '2015-16'"
-    )
 
 
 def test_toy_query_result(toy_db, toy_query, toy_frames):
